@@ -19,16 +19,16 @@ from .errors import (
     PriocoverError,
     ValidationError,
 )
-from .io import Document, SolutionPayload, document_for, parse_document, serialize_document
-from .lp import alpha_relaxed, canonical_relaxation, simplex_solve, LpInfeasible, LpOptimal, LpUnbounded
-from .model import FracSolution, IntSolution, check_cover, solution_cost
+from .io import _KINDS, SolutionPayload, _encode_num, document_for, parse_document, serialize_document
+from .lp import alpha_relaxed, canonical_relaxation, simplex_solve, LpInfeasible, LpUnbounded
+from .model import FracSolution, IntSolution, check_cover, require_valid, solution_cost
 from .oracles import PrimalDualPcipOracle, TuLineOracle, brute_force_opt
 from .plc import exact_plc, gen_gap_line, primal_dual_plc
 from .ptc import decompose_fractional_ptc, exact_tree_cover_01, gen_broom, ptc_2apx, unweighted_ptc_round
 from .reductions import ptc_to_2plc, twoplc_to_rect
 from .rounding import round_ccip, round_no_kc
 
-_INSTANCE_KINDS = ("zero_one_cip", "ccip", "pcip", "line", "two_plc", "tree", "rect")
+_INSTANCE_KINDS = tuple(kind for kind in _KINDS if kind not in ("solution", "report"))
 
 
 def _read_text(path):
@@ -51,6 +51,7 @@ def _load_instance(path, kinds):
     if doc.kind not in kinds:
         wanted = " or ".join(kinds)
         raise ValidationError("expected a %s document, got %r" % (wanted, doc.kind))
+    require_valid(doc.body)
     return doc.body
 
 
@@ -60,17 +61,6 @@ def _emit(args, body):
 
 def _emit_solution(args, solution, cost):
     _emit(args, SolutionPayload(solution=solution, cost=cost))
-
-
-def _num_json(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return {"num": value.numerator, "den": value.denominator}
-
-
-def _vec_json(values):
-    return [_num_json(v) for v in values]
 
 
 def _write_audit(args, payload):
@@ -85,18 +75,19 @@ def _write_audit(args, payload):
 
 
 def _lp_vertex(instance):
-    # shared by the rounding front ends that need a fractional cover first
+    # shared by lp solve and the rounding front ends that need a fractional cover first
     outcome = simplex_solve(canonical_relaxation(instance))
     if isinstance(outcome, LpInfeasible):
         raise Infeasible("the fractional relaxation has no solution", ())
-    assert isinstance(outcome, LpOptimal)
+    if isinstance(outcome, LpUnbounded):
+        raise ValidationError("the fractional relaxation is unbounded")
     return FracSolution(outcome.solution), outcome.value
 
 
 def _cmd_solve_plc_exact(args):
     instance = _load_instance(args.infile, ("line",))
     value, solution = exact_plc(instance)
-    _write_audit(args, {"cost": _num_json(value), "support": sorted(solution.support())})
+    _write_audit(args, {"cost": _encode_num(value), "support": sorted(solution.support())})
     _emit_solution(args, solution, value)
     return 0
 
@@ -106,9 +97,9 @@ def _cmd_solve_plc_pd(args):
     solution, certificate = primal_dual_plc(instance)
     cost = solution_cost([seg.cost for seg in instance.segments], solution)
     _write_audit(args, {
-        "cost": _num_json(cost),
-        "dual_total": _num_json(certificate.total),
-        "duals": _vec_json(certificate.edge_duals),
+        "cost": _encode_num(cost),
+        "dual_total": _encode_num(certificate.total),
+        "duals": list(map(_encode_num, certificate.edge_duals)),
         "tight": [j for j, flag in enumerate(certificate.tight) if flag],
     })
     _emit_solution(args, solution, cost)
@@ -119,10 +110,10 @@ def _cmd_solve_ptc_2apx(args):
     instance = _load_instance(args.infile, ("tree",))
     solution, audit = ptc_2apx(instance)
     _write_audit(args, {
-        "cost": _num_json(audit.cost),
-        "tree_cover_value": _num_json(audit.tree_cover_value),
+        "cost": _encode_num(audit.cost),
+        "tree_cover_value": _encode_num(audit.tree_cover_value),
         "chosen_pairs": [list(pair) for pair in audit.chosen_pairs],
-        "pair_costs": _vec_json(audit.pair_costs),
+        "pair_costs": list(map(_encode_num, audit.pair_costs)),
         "num_pairs": audit.num_pairs,
     })
     _emit_solution(args, solution, audit.cost)
@@ -138,17 +129,17 @@ def _cmd_solve_ptc_unw6(args):
         pieces = decompose_fractional_ptc(instance, x)
         masses = [sum(piece.frac, Fraction(0)) for piece in pieces]
         _write_audit(args, {
-            "lp_value": _num_json(lp_value),
-            "mass": _num_json(sum(masses, Fraction(0))),
+            "lp_value": _encode_num(lp_value),
+            "mass": _encode_num(sum(masses, Fraction(0))),
             "pieces": [
                 {
                     "edges": list(piece.edges),
-                    "mass": _num_json(mass),
+                    "mass": _encode_num(mass),
                     "segments": list(piece.segment_ids),
                 }
                 for piece, mass in zip(pieces, masses)
             ],
-            "cost": _num_json(cost),
+            "cost": _encode_num(cost),
         })
     _emit_solution(args, solution, cost)
     return 0
@@ -159,27 +150,27 @@ def _cmd_solve_ccip(args):
     solution, audit = round_ccip(instance, TuLineOracle(), PrimalDualPcipOracle())
     if args.audit is not None:
         _write_audit(args, {
-            "alpha": _num_json(audit.alpha),
-            "x_star": _vec_json(audit.x_star),
-            "lower_bound": _num_json(audit.lower_bound),
+            "alpha": _encode_num(audit.alpha),
+            "x_star": list(map(_encode_num, audit.x_star)),
+            "lower_bound": _encode_num(audit.lower_bound),
             "generating_set": sorted(audit.generating_set),
             "iterations": audit.iterations,
-            "xbar": _vec_json(audit.xbar),
+            "xbar": list(map(_encode_num, audit.xbar)),
             "row_ids": list(audit.normalized.row_ids),
-            "rounded_demands": _vec_json(audit.normalized.rounded_demands),
-            "rounded_supplies": _vec_json(audit.normalized.rounded_supplies),
-            "scaled_solution": _vec_json(audit.normalized.scaled_solution),
+            "rounded_demands": list(map(_encode_num, audit.normalized.rounded_demands)),
+            "rounded_supplies": list(map(_encode_num, audit.normalized.rounded_supplies)),
+            "scaled_solution": list(map(_encode_num, audit.normalized.scaled_solution)),
             "large_rows": list(audit.partition.large_rows),
             "small_rows": list(audit.partition.small_rows),
-            "class_supplies": _vec_json(audit.classes.class_supplies),
+            "class_supplies": list(map(_encode_num, audit.classes.class_supplies)),
             "thresholds": {str(row): t for row, t in sorted(audit.classes.thresholds.items())},
-            "small_solution": _vec_json(audit.small_solution),
-            "large_solution": _vec_json(audit.large_solution),
-            "combined": _vec_json(audit.combined),
+            "small_solution": list(map(_encode_num, audit.small_solution)),
+            "large_solution": list(map(_encode_num, audit.large_solution)),
+            "combined": list(map(_encode_num, audit.combined)),
             "solution": list(audit.solution),
-            "cost": _num_json(audit.cost),
-            "bound_factor": _num_json(audit.bound_factor),
-            "cost_bound": _num_json(audit.cost_bound),
+            "cost": _encode_num(audit.cost),
+            "bound_factor": _encode_num(audit.bound_factor),
+            "cost_bound": _encode_num(audit.cost_bound),
         })
     _emit_solution(args, solution, audit.cost)
     return 0
@@ -191,10 +182,10 @@ def _cmd_solve_ccip_nokc(args):
     solution = round_no_kc(instance, x, TuLineOracle())
     cost = solution_cost(instance.base.costs, solution)
     _write_audit(args, {
-        "lp_value": _num_json(lp_value),
-        "x": _vec_json(x),
-        "cost": _num_json(cost),
-        "cost_bound": _num_json(10 * lp_value),
+        "lp_value": _encode_num(lp_value),
+        "x": list(map(_encode_num, x)),
+        "cost": _encode_num(cost),
+        "cost_bound": _encode_num(10 * lp_value),
     })
     _emit_solution(args, solution, cost)
     return 0
@@ -209,7 +200,7 @@ def _cmd_solve_tree01(args):
     values = [0] * len(pairs)
     for index in chosen:
         values[index] = 1
-    _write_audit(args, {"cost": _num_json(value), "chosen": list(chosen)})
+    _write_audit(args, {"cost": _encode_num(value), "chosen": list(chosen)})
     _emit_solution(args, IntSolution(tuple(values)), value)
     return 0
 
@@ -278,13 +269,9 @@ def _cmd_verify(args):
 
 def _cmd_lp_solve(args):
     instance = _load_instance(args.infile, _INSTANCE_KINDS)
-    outcome = simplex_solve(canonical_relaxation(instance))
-    if isinstance(outcome, LpInfeasible):
-        raise Infeasible("the fractional relaxation has no solution", ())
-    if isinstance(outcome, LpUnbounded):
-        raise ValidationError("the fractional relaxation is unbounded")
-    _write_audit(args, {"value": _num_json(outcome.value)})
-    _emit_solution(args, FracSolution(outcome.solution), outcome.value)
+    x, value = _lp_vertex(instance)
+    _write_audit(args, {"value": _encode_num(value)})
+    _emit_solution(args, x, value)
     return 0
 
 
@@ -292,7 +279,7 @@ def _cmd_lp_alpha_relaxed(args):
     instance = _load_instance(args.infile, ("ccip",))
     result = alpha_relaxed(instance, args.alpha)
     _write_audit(args, {
-        "lower_bound": _num_json(result.lower_bound),
+        "lower_bound": _encode_num(result.lower_bound),
         "generating_set": sorted(result.generating_set),
         "iterations": result.iterations,
     })
@@ -334,8 +321,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="priocover",
         description="Solvers, generators, and reductions for priority covering problems.",
-        epilog="The PRIOCOVER_SEED environment variable is reserved for randomized "
-               "generators; every command shipped today is deterministic.",
     )
     parser.set_defaults(func=None)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")

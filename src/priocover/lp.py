@@ -11,16 +11,12 @@ from fractions import Fraction
 
 from .errors import Infeasible, IterationBudgetExceeded, ValidationError
 from .model import (
-    FracSolution,
-    LineInstance,
-    PriorityCIP,
     ColumnRestrictedCIP,
-    TreeInstance,
+    FracSolution,
+    PriorityCIP,
     ZeroOneCIP,
-    UNBOUNDED,
-    apply_supplies,
-    build_priority_matrix,
     effective_system,
+    instance_upper_bounds,
     is_unbounded,
 )
 
@@ -244,39 +240,22 @@ def simplex_solve(lp):
 def canonical_relaxation(instance):
     """The plain LP relaxation an instance defines.
 
-    Matrix-form instances keep their upper bounds; line and tree instances
-    get none (multiplicities above 1 never help a unit-demand cover, so
-    the optimum is unchanged and duality stays clean).
+    Rows and costs come from effective_system, bounds from
+    instance_upper_bounds: matrix-form instances keep their upper bounds,
+    line, two-priority line, tree and rectangle instances get none
+    (multiplicities above 1 never help a unit-demand cover, so the optimum
+    is unchanged and duality stays clean).
     """
-    if isinstance(instance, ZeroOneCIP):
-        matrix, demands, costs = instance.matrix, instance.demands, instance.costs
-        bounds = instance.upper_bounds
-        tag = "row"
-    elif isinstance(instance, ColumnRestrictedCIP):
-        matrix = apply_supplies(instance)
-        demands = instance.base.demands
-        costs = instance.base.costs
-        bounds = instance.base.upper_bounds
-        tag = "row"
-    elif isinstance(instance, PriorityCIP):
-        matrix = build_priority_matrix(instance)
-        demands = (1,) * instance.num_rows
-        costs = instance.base.costs
-        bounds = instance.base.upper_bounds
-        tag = "row"
-    elif isinstance(instance, (LineInstance, TreeInstance)):
-        matrix, demands, costs = effective_system(instance)
-        bounds = (UNBOUNDED,) * len(costs)
-        tag = "edge"
-    else:
-        raise ValidationError(
-            "no canonical relaxation for %r" % type(instance).__name__
-        )
+    matrix, demands, costs = effective_system(instance)
+    matrix_kinds = (ZeroOneCIP, ColumnRestrictedCIP, PriorityCIP)
+    tag = "row" if isinstance(instance, matrix_kinds) else "edge"
     rows = tuple(
         LpRow(coeffs=matrix[i], rhs=demands[i], label=(tag, i))
         for i in range(len(matrix))
     )
-    return LinearProgram(objective=costs, rows=rows, upper_bounds=bounds)
+    return LinearProgram(
+        objective=costs, rows=rows, upper_bounds=instance_upper_bounds(instance)
+    )
 
 
 @dataclass(frozen=True)

@@ -508,8 +508,11 @@ def instance_upper_bounds(instance):
         return instance.upper_bounds
     if isinstance(instance, (ColumnRestrictedCIP, PriorityCIP)):
         return instance.base.upper_bounds
-    _, _, costs = effective_system(instance)
-    return (UNBOUNDED,) * len(costs)
+    if isinstance(instance, (LineInstance, TwoPriorityLineInstance, TreeInstance)):
+        return (UNBOUNDED,) * len(instance.segments)
+    if isinstance(instance, RectCoverInstance):
+        return (UNBOUNDED,) * len(instance.boxes)
+    raise ValidationError("unsupported instance type: %r" % type(instance).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +650,13 @@ def validate_instance(instance):
     else:
         out.append("unsupported instance type: %r" % type(instance).__name__)
     return out
+
+
+def require_valid(instance):
+    """Raise ValidationError listing every invariant violation, if any."""
+    problems = validate_instance(instance)
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 def _validate_tree(instance, out):

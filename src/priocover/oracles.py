@@ -18,12 +18,9 @@ from .errors import (
 )
 from .lp import LpInfeasible, LpOptimal, canonical_relaxation, simplex_solve
 from .model import (
-    ColumnRestrictedCIP,
     IntSolution,
     LineInstance,
-    PriorityCIP,
     Segment,
-    ZeroOneCIP,
     build_priority_matrix,
     effective_system,
     instance_upper_bounds,
@@ -34,10 +31,9 @@ from .plc import primal_dual_plc
 
 
 def _multiplicity_caps(instance, matrix, demands):
-    if not isinstance(instance, (ZeroOneCIP, ColumnRestrictedCIP)):
-        # unit-demand priority problems never reuse a column
-        n = len(matrix[0]) if matrix else 0
-        return [1] * n
+    """Per column: enough copies to meet the largest demand at the column's
+    largest entry, capped at its upper bound; 0 for a column covering
+    nothing."""
     bounds = instance_upper_bounds(instance)
     caps = []
     for j in range(len(bounds)):

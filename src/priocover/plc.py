@@ -3,7 +3,8 @@
 Edges are 1..n with integer priorities; a segment [l, r] with supply s
 covers edge e iff l <= e <= r and s >= pi_e. Contains the primal-dual
 2-approximation with its dual certificate, an exact dynamic program over
-intervals, segment completion, and the lower-bound family generator.
+intervals with its completed segment pool, and the lower-bound family
+generator.
 """
 
 from dataclasses import dataclass
@@ -11,41 +12,6 @@ from fractions import Fraction
 
 from .errors import CertificateViolated, Infeasible, ValidationError
 from .model import IntSolution, LineInstance, Segment, solution_cost
-
-
-@dataclass(frozen=True)
-class ValleyDecomposition:
-    """Per segment: maximal coverable runs (valleys) and blocked runs
-    (mountains) inside its interval, each as (first_edge, last_edge)."""
-
-    valleys: tuple
-    mountains: tuple
-
-
-def _runs(instance, seg):
-    valleys = []
-    mountains = []
-    cur_lo = None
-    cur_kind = None
-    for e in range(seg.left, seg.right + 1):
-        kind = instance.priority(e) <= seg.supply
-        if kind != cur_kind:
-            if cur_kind is not None:
-                (valleys if cur_kind else mountains).append((cur_lo, e - 1))
-            cur_lo = e
-            cur_kind = kind
-    (valleys if cur_kind else mountains).append((cur_lo, seg.right))
-    return tuple(valleys), tuple(mountains)
-
-
-def compute_valleys(instance):
-    valleys = []
-    mountains = []
-    for seg in instance.segments:
-        v, m = _runs(instance, seg)
-        valleys.append(v)
-        mountains.append(m)
-    return ValleyDecomposition(valleys=tuple(valleys), mountains=tuple(mountains))
 
 
 # ---------------------------------------------------------------------------
@@ -140,52 +106,12 @@ def primal_dual_plc(instance):
 # segment completion
 
 
-def complete_segments(instance, prune=True):
-    """Close the segment set under taking sub-intervals.
-
-    Each [a, b] contributes every [l, r] inside it at the same supply and
-    cost. Duplicates by (l, r, s) keep the minimum cost; with prune=True,
-    segments whose interval fits inside another's with no better supply
-    and no better cost are dropped. Neither step changes the optimum.
-    """
-    best = {}
-    for idx, seg in enumerate(instance.segments):
-        for l in range(seg.left, seg.right + 1):
-            for r in range(l, seg.right + 1):
-                key = (l, r, seg.supply)
-                cur = best.get(key)
-                if cur is None or seg.cost < cur:
-                    best[key] = seg.cost
-    items = sorted((l, r, s, c) for (l, r, s), c in best.items())
-    if prune:
-        kept = []
-        for p in items:
-            dominated = False
-            for q in items:
-                if q == p:
-                    continue
-                if (
-                    q[0] <= p[0]
-                    and p[1] <= q[1]
-                    and q[2] >= p[2]
-                    and q[3] <= p[3]
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(p)
-        items = kept
-    return LineInstance(
-        edge_priorities=instance.edge_priorities,
-        segments=tuple(
-            Segment(left=l, right=r, supply=s, cost=c) for l, r, s, c in items
-        ),
-    )
-
-
 def _dp_pool(instance):
     """Completed pool for the interval DP, keyed by left endpoint.
 
+    Each segment [a, b] contributes every [l, r] inside it at the same
+    supply and cost; duplicates by (l, r, s) keep the cheapest, ties to
+    the lower source index. Entries are (r, s, c, source index), sorted.
     Pruning here is restricted to same-interval dominance: the DP's gap
     recursion needs every sub-interval of a kept segment to stay present,
     and a same-interval dominator preserves that closure.
@@ -216,6 +142,8 @@ def _dp_pool(instance):
 
 
 def _segment_valleys(pi, left, right, supply):
+    """Maximal runs of edges in [left, right] whose priority is at most
+    supply, as (first_edge, last_edge) pairs in order."""
     valleys = []
     lo = None
     for e in range(left, right + 1):

@@ -30,18 +30,13 @@ from .model import (
     is_strict_ancestor,
     node_depth,
     path_edges,
+    require_valid,
     solution_cost,
     tree_edges,
     tree_segment_covered,
-    validate_instance,
+    validate_instance,  # noqa: F401 (bench/tracing.py wraps ptc.validate_instance)
 )
 from .plc import exact_plc, primal_dual_plc
-
-
-def _require_valid(instance):
-    problems = validate_instance(instance)
-    if problems:
-        raise ValidationError("; ".join(problems))
 
 
 def _segment_runs(instance):
@@ -248,7 +243,7 @@ def ptc_2apx(instance):
     pairs. Output cost is at most the virtual cover value, which is at
     most twice the optimum.
     """
-    _require_valid(instance)
+    require_valid(instance)
     contained, covered = _segment_runs(instance)
     edges = tree_edges(instance)
     bare = tuple(
@@ -389,7 +384,7 @@ def decompose_fractional_ptc(instance, x):
     and the total mass is at most three times the input mass; both are
     asserted.
     """
-    _require_valid(instance)
+    require_valid(instance)
     xs = FracSolution(tuple(x))
     if len(xs) != len(instance.segments):
         raise ValidationError("fractional point has the wrong length")
@@ -501,7 +496,7 @@ class PathPartitionCertificate:
 def path_partition_certificate(instance, solution):
     """Carve the tree along highest-supply chosen segments and verify
     that no segment is responsible for edges in more than two parts."""
-    _require_valid(instance)
+    require_valid(instance)
     sol = IntSolution(tuple(solution))
     report = check_cover(instance, sol)
     if not report.feasible:
@@ -685,7 +680,7 @@ def gen_broom(vertices, edges):
         segments=tuple(segments),
         child_order=child_order,
     )
-    _require_valid(instance)
+    require_valid(instance)
     spec = BroomSpec(
         vertices=vertices,
         edges=edges,

@@ -8,22 +8,16 @@ interval picks up. The line-to-box step is a plain re-encoding.
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .model import (
     Box,
-    ColumnRestrictedCIP,
-    LineInstance,
-    PriorityCIP,
     RectCoverInstance,
-    TreeInstance,
     TwoPriorityLineInstance,
     TwoPrioritySegment,
-    ZeroOneCIP,
-    build_priority_matrix,
+    effective_system,
     path_edges,
+    require_valid,
     tree_edges,
-    tree_segment_covered,
-    validate_instance,
+    validate_instance,  # noqa: F401 (bench/tracing.py wraps reductions.validate_instance)
 )
 
 
@@ -64,9 +58,7 @@ def ptc_to_2plc(instance):
     first edge and u's parent edge, with supplies (mu_r of u's parent
     edge, original supply). Cover relations match entry for entry.
     """
-    problems = validate_instance(instance)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    require_valid(instance)
     orders = dfs_orders(instance)
     line_edges = tree_edges(instance)  # already in mu order
     priorities = tuple(
@@ -112,50 +104,6 @@ def twoplc_to_rect(instance):
 
 def cover_relation(instance):
     """Boolean coverage matrix, rows per edge/point, columns per
-    segment/box, under each instance kind's own rule."""
-    if isinstance(instance, ZeroOneCIP):
-        return tuple(
-            tuple(a == 1 for a in row) for row in instance.matrix
-        )
-    if isinstance(instance, ColumnRestrictedCIP):
-        return tuple(
-            tuple(a == 1 for a in row) for row in instance.base.matrix
-        )
-    if isinstance(instance, PriorityCIP):
-        return tuple(
-            tuple(a == 1 for a in row)
-            for row in build_priority_matrix(instance)
-        )
-    if isinstance(instance, LineInstance):
-        return tuple(
-            tuple(
-                seg.covers(e, instance.priority(e))
-                for seg in instance.segments
-            )
-            for e in range(1, instance.num_edges + 1)
-        )
-    if isinstance(instance, TwoPriorityLineInstance):
-        return tuple(
-            tuple(
-                instance.covers(j, e)
-                for j in range(len(instance.segments))
-            )
-            for e in range(1, instance.num_edges + 1)
-        )
-    if isinstance(instance, TreeInstance):
-        covered = [
-            set(tree_segment_covered(instance, seg))
-            for seg in instance.segments
-        ]
-        return tuple(
-            tuple(e in cov for cov in covered)
-            for e in tree_edges(instance)
-        )
-    if isinstance(instance, RectCoverInstance):
-        return tuple(
-            tuple(box.contains(p) for box in instance.boxes)
-            for p in instance.points
-        )
-    raise ValidationError(
-        "no cover relation for %r" % type(instance).__name__
-    )
+    segment/box: the nonzero pattern of the instance's effective_system."""
+    matrix, _, _ = effective_system(instance)
+    return tuple(tuple(a != 0 for a in row) for row in matrix)

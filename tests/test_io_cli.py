@@ -235,6 +235,13 @@ def test_cli_reduce_chain(tmp_path):
     from priocover import cover_relation
 
     assert cover_relation(read_doc(tree).body) == cover_relation(read_doc(rect).body)
+    # every kind has an LP relaxation, and the reductions preserve its value
+    values = []
+    for doc in (tree, line2, rect):
+        out = tmp_path / "lp.json"
+        assert main(["lp", "solve", "--in", str(doc), "--out", str(out)]) == 0
+        values.append(read_doc(out).body.cost)
+    assert values[0] == values[1] == values[2]
 
 
 def test_cli_ccip_commands(tmp_path):
@@ -272,6 +279,21 @@ def test_cli_exit_codes(tmp_path):
     wrong = tmp_path / "wrong.json"
     write_doc(wrong, gen_gap_line(3))
     assert main(["solve", "ptc-2apx", "--in", str(wrong), "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("segment", [Segment(1, 3, 1, 1), Segment(1, 1, 1, -1)],
+                         ids=["past-the-end", "negative-cost"])
+@pytest.mark.parametrize("algorithm", ["plc-exact", "plc-pd"])
+def test_cli_rejects_invalid_line(tmp_path, algorithm, segment):
+    doc = tmp_path / "bad.json"
+    write_doc(doc, LineInstance((1,), (segment,)))
+    run = subprocess.run(
+        [sys.executable, "-m", "priocover.cli", "solve", algorithm, "--in", str(doc)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
 
 
 def test_cli_infeasible_and_budget(tmp_path):

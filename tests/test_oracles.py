@@ -50,6 +50,16 @@ def test_brute_multiplicities():
     assert cost == 6
 
 
+def test_brute_respects_pcip_upper_bounds():
+    # column 0 covers the row but its bound is 0, so only column 1 may be bought
+    base = ZeroOneCIP(matrix=((1, 1),), demands=(1,), costs=(1, 5), upper_bounds=(0, 1))
+    pcip = PriorityCIP(base=base, priority_supplies=(3, 3), priority_demands=(1,))
+    cost, sol = brute_force_opt(pcip)
+    assert cost == 5
+    assert tuple(sol) == (0, 1)
+    assert simplex_solve(canonical_relaxation(pcip)).value == cost
+
+
 def test_brute_reports_infeasible_rows():
     cip = ZeroOneCIP(
         matrix=((1, 0), (0, 0)), demands=(1, 1), costs=(1, 1), upper_bounds=(1, 1)

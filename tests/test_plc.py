@@ -8,13 +8,14 @@ from priocover import (
     Infeasible,
     LineInstance,
     Segment,
+    brute_force_opt,
     check_cover,
     exact_plc,
     interval_optima,
     primal_dual_plc,
     solution_cost,
 )
-from priocover.plc import compute_valleys, complete_segments, gen_gap_line
+from priocover.plc import _dp_pool, _segment_valleys, gen_gap_line
 
 from conftest import coverable_line
 
@@ -102,28 +103,36 @@ def test_valleys_partition_cover():
     rng = random.Random(13)
     for _ in range(30):
         inst = coverable_line(rng, max_edges=8, max_segments=10)
-        dec = compute_valleys(inst)
         for j, seg in enumerate(inst.segments):
+            valleys = _segment_valleys(
+                inst.edge_priorities, seg.left, seg.right, seg.supply
+            )
             edges = set()
-            for lo, hi in dec.valleys[j]:
+            for lo, hi in valleys:
                 edges.update(range(lo, hi + 1))
-                assert all(inst.priority(e) <= seg.supply for e in range(lo, hi + 1))
-            for lo, hi in dec.mountains[j]:
-                edges.update(range(lo, hi + 1))
-                assert all(inst.priority(e) > seg.supply for e in range(lo, hi + 1))
-            assert edges == set(range(seg.left, seg.right + 1))
+            assert edges == set(inst.covered_edges(j))
+            # maximal runs: consecutive valleys are split by a blocked edge
+            for (_, hi), (lo, _) in zip(valleys, valleys[1:]):
+                assert hi + 1 < lo
+                assert all(inst.priority(e) > seg.supply for e in range(hi + 1, lo))
 
 
 def test_completion_preserves_optimum():
     rng = random.Random(29)
     for _ in range(30):
         inst = coverable_line(rng, max_edges=7, max_segments=9)
-        value, _ = exact_plc(inst)
-        for prune in (False, True):
-            completed = complete_segments(inst, prune=prune)
-            got, sol = exact_plc(completed)
-            assert got == value
-            assert check_cover(completed, sol).feasible
+        value, _ = brute_force_opt(inst)
+        completed = LineInstance(
+            inst.edge_priorities,
+            tuple(
+                Segment(l, r, s, c)
+                for l, entries in sorted(_dp_pool(inst).items())
+                for r, s, c, _ in entries
+            ),
+        )
+        got, sol = exact_plc(completed)
+        assert got == value
+        assert check_cover(completed, sol).feasible
 
 
 def test_primal_dual_certificate_suite():
