@@ -1,13 +1,18 @@
 """Exact rational linear programming and knapsack-cover machinery.
 
-The solver is a dense two-phase tableau simplex over Fraction with Bland's
-anti-cycling rule. Upper bounds are folded in as explicit rows, so the
-returned point is a basic (vertex) solution of the bounded polyhedron,
-which is what the totally-unimodular integrality checks rely on.
+The solver is a two-phase tableau simplex with Bland's anti-cycling rule.
+Each tableau row is a list of Python ints over its own positive
+denominator, kept in lowest terms (fraction-free, after Edmonds and
+Bareiss), so the pivot loop creates no Fraction; a pivot touches only the
+rows with a nonzero entry in the pivot column. Upper bounds are folded in
+as explicit rows, so the returned point is a basic (vertex) solution of
+the bounded polyhedron, which is what the totally-unimodular integrality
+checks rely on.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import Infeasible, IterationBudgetExceeded, ValidationError
 from .model import (
@@ -83,22 +88,63 @@ class LpUnbounded:
     pass
 
 
+def _int_row(values):
+    """Fractions as ints over their lcm denominator, which is appended.
+
+    Scaling by the lcm leaves the row in lowest terms.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values] + [den]
+
+
+def _nonzero(row):
+    """Indices of a row's nonzero entries, rhs included, denominator not."""
+    return [j for j in range(len(row) - 1) if row[j]]
+
+
+def _eliminate(row, prow, nz, col):
+    """Subtract prow, which has value 1 at col, times row's value at col.
+
+    With pc = prow[-1], prow's denominator and its entry at col, the
+    result is (r*pc - f*P) / (dr*pc), subtracting only over prow's nonzero
+    columns nz, reduced to lowest terms.
+    """
+    pc = prow[-1]
+    f = row[col]
+    new = [a * pc for a in row] if pc != 1 else row[:]
+    for j in nz:
+        new[j] -= f * prow[j]
+    g = gcd(*new)
+    if g != 1:
+        new = [a // g for a in new]
+    return new
+
+
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = 1 / piv
-    tab[row] = [a * inv for a in tab[row]]
     prow = tab[row]
+    piv = prow[col]
+    if piv < 0:
+        prow = [-a for a in prow]
+        piv = -piv
+    # the pivot entry becomes the row's denominator, so its value is 1
+    prow[-1] = piv
+    g = gcd(*prow)
+    if g != 1:
+        prow = [a // g for a in prow]
+    tab[row] = prow
+    nz = _nonzero(prow)
     for i, r in enumerate(tab):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            tab[i] = [a - f * p for a, p in zip(r, prow)]
+        if i != row and r[col]:
+            tab[i] = _eliminate(r, prow, nz, col)
     basis[row] = col
 
 
 def _run_simplex(tab, basis, width):
-    """Minimize the last tableau row. Bland's rule throughout."""
+    """Minimize the last tableau row. Bland's rule throughout.
+
+    Each row's denominator is positive and cancels from a ratio, so signs
+    and the ratio test read the integer entries directly.
+    """
     m = len(tab) - 1
     while True:
         obj = tab[-1]
@@ -110,45 +156,45 @@ def _run_simplex(tab, basis, width):
         if enter is None:
             return "optimal"
         leave = None
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_rhs, best_a = i, tab[i][-2], a
+                    continue
+                lhs = tab[i][-2] * best_a
+                rhs = best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, tab[i][-2], a
         if leave is None:
             return "unbounded"
         _pivot(tab, basis, leave, enter)
 
 
 def simplex_solve(lp):
-    """Exact two-phase simplex. Returns LpOptimal/LpInfeasible/LpUnbounded."""
-    n = lp.num_vars
-    zero = Fraction(0)
-    one = Fraction(1)
+    """Exact two-phase simplex. Returns LpOptimal/LpInfeasible/LpUnbounded.
 
-    # assemble >= and <= rows over the original variables, rhs >= 0
-    ge_rows = []  # (coeffs, rhs)
+    Tableau rows are lists of ints: the column entries, the right-hand
+    side, then the row's positive denominator.
+    """
+    n = lp.num_vars
+
+    # assemble >= and <= int rows over the original variables, rhs >= 0
+    ge_rows = []
     le_rows = []
-    for row in lp.rows:
-        coeffs, rhs = list(row.coeffs), row.rhs
-        if rhs <= 0:
+    for lp_row in lp.rows:
+        row = _int_row(lp_row.coeffs + (lp_row.rhs,))
+        if lp_row.rhs <= 0:
             # a.x >= rhs with rhs <= 0 is -a.x <= -rhs
-            le_rows.append(([-c for c in coeffs], -rhs))
+            le_rows.append([-a for a in row[:-1]] + row[-1:])
         else:
-            ge_rows.append((coeffs, rhs))
+            ge_rows.append(row)
     for j, u in enumerate(lp.upper_bounds):
-        if is_unbounded(u):
-            continue
-        coeffs = [zero] * n
-        coeffs[j] = one
-        le_rows.append((coeffs, Fraction(u)))
+        if not is_unbounded(u):
+            row = [0] * (n + 2)
+            row[j] = row[-1] = u.denominator
+            row[-2] = u.numerator
+            le_rows.append(row)
 
     m = len(ge_rows) + len(le_rows)
     num_slack = m
@@ -157,78 +203,52 @@ def simplex_solve(lp):
 
     tab = []
     basis = []
-    art_cols = []
-    si = 0
-    ai = 0
-    for coeffs, rhs in ge_rows:
-        row = list(coeffs) + [zero] * (num_slack + num_art)
-        row[n + si] = -one  # surplus
-        art_col = n + num_slack + ai
-        row[art_col] = one
-        row.append(rhs)
-        tab.append(row)
-        basis.append(art_col)
-        art_cols.append(art_col)
-        si += 1
-        ai += 1
-    for coeffs, rhs in le_rows:
-        row = list(coeffs) + [zero] * (num_slack + num_art)
-        row[n + si] = one  # slack, starts basic
-        row.append(rhs)
-        tab.append(row)
-        basis.append(n + si)
-        si += 1
+    for si, row in enumerate(ge_rows + le_rows):
+        padded = row[:n] + [0] * (num_slack + num_art) + row[n:]
+        if si < num_art:
+            padded[n + si] = -row[-1]  # surplus
+            padded[n + num_slack + si] = row[-1]  # artificial, starts basic
+            basis.append(n + num_slack + si)
+        else:
+            padded[n + si] = row[-1]  # slack, starts basic
+            basis.append(n + si)
+        tab.append(padded)
 
     if num_art:
         # phase 1: minimize the artificial total
-        cost = [zero] * (width + 1)
-        for c in art_cols:
-            cost[c] = one
-        tab.append(cost)
-        for i, b in enumerate(basis):
-            if b in set(art_cols):
-                f = tab[-1][b]
-                if f:
-                    tab[-1] = [a - f * p for a, p in zip(tab[-1], tab[i])]
+        tab.append([0] * (n + num_slack) + [1] * num_art + [0, 1])
+        for i in range(num_art):
+            # every >= row starts with its artificial basic, at value 1
+            tab[-1] = _eliminate(tab[-1], tab[i], _nonzero(tab[i]), basis[i])
         _run_simplex(tab, basis, width)  # bounded below by 0, always optimal
-        if -tab[-1][-1] != 0:
+        if tab[-1][-2] != 0:
             return LpInfeasible()
         tab.pop()
-        # drive surviving artificials out of the basis
-        art_set = set(art_cols)
-        drop = []
+        # drive surviving artificials out of the basis. Every row has its
+        # own slack or surplus column, so the rows are independent and the
+        # row of a basic artificial is nonzero outside the artificials.
         for i in range(len(tab)):
-            if basis[i] in art_set:
-                piv_col = None
-                for j in range(n + num_slack):
-                    if tab[i][j] != 0:
-                        piv_col = j
-                        break
-                if piv_col is None:
-                    drop.append(i)  # redundant constraint
-                else:
-                    _pivot(tab, basis, i, piv_col)
-        for i in reversed(drop):
-            tab.pop(i)
-            basis.pop(i)
+            if basis[i] >= n + num_slack:
+                row = tab[i]
+                col = next(j for j in range(n + num_slack) if row[j])
+                _pivot(tab, basis, i, col)
 
     # phase 2
     width2 = n + num_slack
-    tab = [row[:width2] + [row[-1]] for row in tab]
-    cost = [Fraction(c) for c in lp.objective] + [zero] * (num_slack + 1)
-    tab.append(cost)
+    tab = [row[:width2] + row[-2:] for row in tab]
+    cost = _int_row(lp.objective)
+    tab.append(cost[:n] + [0] * (num_slack + 1) + cost[n:])
     for i, b in enumerate(basis):
-        f = tab[-1][b]
-        if f:
-            tab[-1] = [a - f * p for a, p in zip(tab[-1], tab[i])]
+        if tab[-1][b]:
+            tab[-1] = _eliminate(tab[-1], tab[i], _nonzero(tab[i]), b)
     status = _run_simplex(tab, basis, width2)
     if status == "unbounded":
         return LpUnbounded()
 
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tab[i][-1]
+            x[b] = Fraction(tab[i][-2], tab[i][-1])
     value = sum(c * v for c, v in zip(lp.objective, x))
     return LpOptimal(solution=tuple(x), value=value, basis=tuple(basis))
 

@@ -659,23 +659,45 @@ def require_valid(instance):
         raise ValidationError("; ".join(problems))
 
 
+def _upward_walk_ends(instance):
+    """Where the walk up the parent map from each node ends: "root",
+    "dangling" (at a parent that is not a node) or "cycle".
+
+    One pass over the nodes: every node on a walk ends where the walk
+    does, so each node is walked through once.
+    """
+    ends = {instance.root: "root"}
+    for v in instance.parent:
+        path = []
+        on_path = set()
+        u = v
+        while u not in ends:
+            if u in on_path:
+                end = "cycle"
+                break
+            path.append(u)
+            on_path.add(u)
+            if u not in instance.parent:
+                end = "dangling"
+                break
+            u = instance.parent[u]
+        else:
+            end = ends[u]
+        for w in path:
+            ends[w] = end
+    return ends
+
+
 def _validate_tree(instance, out):
     if instance.root in instance.parent:
         out.append("root %d appears in the parent map" % instance.root)
-    # walk upward from every node; a cycle or a dangling parent shows up here
     nodes = set(instance.parent) | {instance.root}
+    ends = _upward_walk_ends(instance)
     for v in instance.parent:
-        seen = {v}
-        u = v
-        while u != instance.root:
-            u = instance.parent.get(u)
-            if u is None:
-                out.append("node %d does not reach the root" % v)
-                break
-            if u in seen:
-                out.append("cycle through node %d" % v)
-                break
-            seen.add(u)
+        if ends[v] == "dangling":
+            out.append("node %d does not reach the root" % v)
+        elif ends[v] == "cycle":
+            out.append("cycle through node %d" % v)
     for v, p in instance.parent.items():
         if p not in nodes:
             out.append("parent %d of node %d is not a node" % (p, v))
@@ -702,7 +724,10 @@ def _validate_tree(instance, out):
         if seg.top not in nodes or seg.bottom not in nodes:
             out.append("segment %d endpoints outside the tree" % j)
             continue
-        if not is_strict_ancestor(instance, seg.top, seg.bottom):
+        # only a walk up from a node that reaches the root terminates
+        if ends[seg.bottom] == "root" and not is_strict_ancestor(
+            instance, seg.top, seg.bottom
+        ):
             out.append(
                 "segment %d: node %d is not a strict ancestor of node %d"
                 % (j, seg.top, seg.bottom)

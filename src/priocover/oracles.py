@@ -161,7 +161,10 @@ def solve_tu_line_cover(instance, fractional):
     witness_cost = sum(
         c * x for c, x in zip(instance.costs, tuple(fractional))
     )
-    assert result.value <= witness_cost, "LP optimum above a feasible point"
+    if result.value > witness_cost:
+        raise CertificateViolated(
+            "LP optimum %s above the witness cost %s" % (result.value, witness_cost)
+        )
     return IntSolution(tuple(values))
 
 

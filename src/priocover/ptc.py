@@ -181,18 +181,19 @@ def pair_cover_lp_value(instance, pairs, costs):
     The pair-edge incidence matrix is a network matrix, so the simplex
     vertex is integral and this must agree with the DP exactly.
     """
-    pairs = tuple(pairs)
-    rows = []
-    for e in tree_edges(instance):
-        coeffs = [0] * len(pairs)
-        for k, (t, b) in enumerate(pairs):
-            if e in set(path_edges(instance, t, b)):
-                coeffs[k] = 1
-        rows.append(LpRow(coeffs=coeffs, rhs=1, label=("edge", e)))
+    paths = [frozenset(path_edges(instance, t, b)) for t, b in pairs]
+    rows = [
+        LpRow(
+            coeffs=[1 if e in path else 0 for path in paths],
+            rhs=1,
+            label=("edge", e),
+        )
+        for e in tree_edges(instance)
+    ]
     lp = LinearProgram(
         objective=tuple(Fraction(c) for c in costs),
         rows=tuple(rows),
-        upper_bounds=(Fraction(1),) * len(pairs),
+        upper_bounds=(Fraction(1),) * len(paths),
     )
     res = simplex_solve(lp)
     if not isinstance(res, LpOptimal):

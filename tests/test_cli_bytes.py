@@ -2,7 +2,10 @@
 
 Every solve, lp and reduce command runs on three fixed documents; the
 sha256 of its output document and of its audit trail is pinned, so a
-refactor that changes a single byte of any of them fails here.
+refactor that changes a single byte of any of them fails here. Three
+larger documents pin the simplex's vertex choice on LPs with many
+degenerate pivots: a 29-edge gap line, a 29-node tree, and a CCIP whose
+alpha-relaxed point takes two constraint-generation rounds.
 """
 
 import hashlib
@@ -10,16 +13,57 @@ import random
 
 import pytest
 
-from priocover import document_for, serialize_document
+from fractions import Fraction
+
+from priocover import (
+    UNBOUNDED,
+    ColumnRestrictedCIP,
+    ZeroOneCIP,
+    alpha_relaxed,
+    document_for,
+    serialize_document,
+)
 from priocover.cli import main
 from priocover.plc import gen_gap_line
 
 from conftest import rand_interval_ccip, rand_tree
 
+
+def _mixed_ccip(rng, rows, cols):
+    """Interval CCIP with half its columns unbounded; those tile the rows,
+    so the program is feasible, and the bounded rest have bounds 3..8."""
+    unbounded = cols // 2
+    cuts = sorted(rng.sample(range(1, rows), unbounded - 1))
+    spans = list(zip([0] + cuts, [c - 1 for c in cuts] + [rows - 1]))
+    while len(spans) < cols:
+        length = rng.randint(1, rows // 2)
+        top = rng.randint(0, rows - length)
+        spans.append((top, top + length - 1))
+    order = list(range(cols))
+    rng.shuffle(order)
+    base = ZeroOneCIP(
+        matrix=tuple(
+            tuple(1 if spans[j][0] <= i <= spans[j][1] else 0 for j in order)
+            for i in range(rows)
+        ),
+        demands=tuple(rng.randint(1, 100) for _ in range(rows)),
+        costs=tuple(rng.randint(1, 20) for _ in range(cols)),
+        upper_bounds=tuple(
+            UNBOUNDED if j < unbounded else rng.randint(3, 8) for j in order
+        ),
+    )
+    return ColumnRestrictedCIP(
+        base=base, supplies=tuple(rng.randint(1, 32) for _ in range(cols))
+    )
+
+
 DOCUMENTS = {
     "line": lambda: gen_gap_line(11),
     "tree": lambda: rand_tree(random.Random(11), max_nodes=9, unit_cost=True),
     "ccip": lambda: rand_interval_ccip(random.Random(12), no_bottleneck=True),
+    "gap29": lambda: gen_gap_line(29),
+    "tree29": lambda: rand_tree(random.Random(0), max_nodes=32, max_extra=12),
+    "ccip2": lambda: _mixed_ccip(random.Random(1), 8, 12),
 }
 
 # (document, command, has --audit) -> (sha256 of output, sha256 of audit)
@@ -76,6 +120,18 @@ GOLDEN = {
         "f339651dcf950dffcbcbc3908c288f9e559c63e17c45f7f1fa568312d5dae831",
         "f3be11e0e56e1c7fe1305e1d1444867ebc90248551038eb161d829f0700453ed",
     ),
+    ("gap29", "lp solve", True): (
+        "246dac7ff015dadc28a3a8422bbbe06db41791a357031eee9cf89d6e1b326bce",
+        "84ff2158791b43c980f16efd887a9c29c80648f049c7bb60117324ed34fb8687",
+    ),
+    ("tree29", "lp solve", True): (
+        "3ecaa668041c0186523658fe81a05032f60a2f962424a2b491acc673b052f54c",
+        "b5ccd9e7aaa47b68dbc2b5d4994f8572e36b5cbc20594570b88c7f078a590de9",
+    ),
+    ("ccip2", "solve ccip", True): (
+        "ca860617969e701a82f51bac3705e89400e8d1cd282e5507d6db97dca22d7c25",
+        "71d7a9f4630755ecb75285f2c0d4bc4438eafa4a803deea1e483981e4c9ef6b7",
+    ),
 }
 
 
@@ -105,3 +161,10 @@ def test_cli_bytes_pinned(tmp_path, key):
     out, trail = _run(tmp_path, doc_path, command.split(), audit)
     got = (_sha(out), _sha(trail) if trail else None)
     assert got == GOLDEN[key]
+
+
+def test_larger_documents_are_what_they_pin():
+    tree = DOCUMENTS["tree29"]()
+    assert len(tree.parent) + 1 == 29
+    # round_ccip's alpha; the golden covers a second generation round
+    assert alpha_relaxed(DOCUMENTS["ccip2"](), Fraction(1, 24)).iterations == 2

@@ -296,6 +296,37 @@ def test_cli_rejects_invalid_line(tmp_path, algorithm, segment):
     assert run.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "parent, message",
+    [({"1": 2, "2": 1}, "cycle through node 1"),
+     ({"1": 5}, "node 1 does not reach the root")],
+    ids=["cycle", "dangling-parent"],
+)
+def test_cli_rejects_broken_parent_map(tmp_path, parent, message):
+    # the segment's bottom never reaches the root, so validation must not
+    # walk up from it to test ancestry
+    children = {}
+    for v, p in parent.items():
+        children.setdefault(str(p), []).append(int(v))
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({
+        "kind": "tree",
+        "version": 1,
+        "root": 0,
+        "parent": parent,
+        "child_order": children,
+        "edges": [{"id": int(v), "pi": 1} for v in parent],
+        "segments": [{"t": 0, "b": 1, "s": 1, "c": 1}],
+    }))
+    run = subprocess.run(
+        [sys.executable, "-m", "priocover.cli", "solve", "ptc-2apx", "--in", str(doc)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert message in run.stderr
+
+
 def test_cli_infeasible_and_budget(tmp_path):
     hopeless = tmp_path / "hopeless.json"
     write_doc(hopeless, LineInstance((5,), (Segment(1, 1, 1, 1),)))

@@ -5,6 +5,7 @@ import pytest
 
 from priocover import (
     BudgetExceeded,
+    CertificateViolated,
     ColumnRestrictedCIP,
     FracSolution,
     Infeasible,
@@ -20,6 +21,7 @@ from priocover import (
     simplex_solve,
     solution_cost,
 )
+from priocover import oracles
 from priocover.plc import gen_gap_line
 
 from conftest import coverable_line, rand_interval_ccip
@@ -116,6 +118,19 @@ def test_tu_oracle_rejects_bad_witness():
     cip = ZeroOneCIP(matrix=((1,),), demands=(1,), costs=(1,), upper_bounds=(1,))
     with pytest.raises(Exception):
         TuLineOracle()(cip, FracSolution((Fraction(1, 2),)))
+
+
+def test_tu_oracle_rejects_lp_above_witness(monkeypatch):
+    # an LP optimum above a feasible point's cost breaks LP duality; the
+    # check is a raise, so it also holds under python -O
+    cip = ZeroOneCIP(matrix=((1,),), demands=(1,), costs=(2,), upper_bounds=(1,))
+    monkeypatch.setattr(
+        oracles,
+        "simplex_solve",
+        lambda lp: LpOptimal(solution=(Fraction(1),), value=Fraction(3), basis=(0,)),
+    )
+    with pytest.raises(CertificateViolated):
+        TuLineOracle()(cip, FracSolution((Fraction(1),)))
 
 
 def test_pcip_oracle_factor_two():
